@@ -1021,28 +1021,32 @@ class Database:
             # variables a particular plan happened to materialize are
             # not part of the result.
             try:
-                execution = self.execute_plan(
-                    optimization.plan, result_vars=result_vars, ctx=governor,
-                    view=view, backend=cfg.backend, monitor=monitor,
-                )
-                if monitor is not None:
+                try:
+                    execution = self.execute_plan(
+                        optimization.plan, result_vars=result_vars,
+                        ctx=governor, view=view, backend=cfg.backend,
+                        monitor=monitor,
+                    )
+                    if monitor is not None:
+                        self.feedback.ingest(monitor, self.catalog)
+                except AdaptiveReplanSignal as signal:
+                    # Mid-query re-optimization: an operator blew past
+                    # its estimate.  The rows counted so far (flushed as
+                    # partial observations) are exactly the knowledge
+                    # the replan needs, so ingest first, then replan on
+                    # the same snapshot.
                     self.feedback.ingest(monitor, self.catalog)
-            except AdaptiveReplanSignal as signal:
-                # Mid-query re-optimization: an operator blew past its
-                # estimate.  The rows counted so far (flushed as partial
-                # observations) are exactly the knowledge the replan
-                # needs, so ingest first, then replan on the same
-                # snapshot.
-                self.feedback.ingest(monitor, self.catalog)
-                optimization, execution = self._adaptive_replan(
-                    signal, optimization, result_vars, cfg, governor, view
-                )
+                    optimization, execution = self._adaptive_replan(
+                        signal, optimization, result_vars, cfg, governor, view
+                    )
             except IndexCorruptionError as exc:
                 # Degradation ladder, step 2 (after the buffer pool's
                 # retries): a persistently corrupt index can't be read,
                 # but the base collections still can — replan without
                 # index access paths and run the scan-based plan under
-                # the same governor (same clocks, same injector).
+                # the same governor (same clocks, same injector).  The
+                # outer try also covers the adaptive replan's re-run,
+                # whose new plan may read an index the first one didn't.
                 optimization, execution = self._degrade_to_scan(
                     exc, optimization, result_vars, config, governor, view
                 )

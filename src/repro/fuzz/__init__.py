@@ -4,9 +4,11 @@ The optimizer's central claim — every plan the search, the baselines,
 the plan cache, and the parallel executor produce for one query returns
 the *same rows* — is checked here by construction: random OODB worlds
 (:mod:`repro.fuzz.worldgen`), random ZQL queries
-(:mod:`repro.fuzz.querygen`), and an oracle that runs each query through
-every configuration pair and compares results
-(:mod:`repro.fuzz.oracle`).  Failures are minimized by
+(:mod:`repro.fuzz.querygen`) and write batches (:mod:`repro.fuzz.dml`),
+and one :class:`Case` model whose :func:`check` picks the comparison —
+differential pairs (:mod:`repro.fuzz.oracle`), a faulted run
+(:mod:`repro.fuzz.chaos`), transcript replay, or crash → recover →
+compare (:mod:`repro.fuzz.crash`).  Failures are minimized by
 :mod:`repro.fuzz.shrink` and pinned forever as JSON repros in
 ``tests/corpus/`` (:mod:`repro.fuzz.corpus`).
 
@@ -15,6 +17,8 @@ Run it::
     PYTHONPATH=src python -m repro.fuzz --seed 0 --iterations 200
 """
 
+from repro.fuzz.case import Case, check
+from repro.fuzz.chaos import FaultSpec
 from repro.fuzz.corpus import (
     case_from_json,
     case_to_json,
@@ -22,7 +26,8 @@ from repro.fuzz.corpus import (
     load_repro,
     save_repro,
 )
-from repro.fuzz.oracle import Mismatch, run_case
+from repro.fuzz.dml import DML_CONFIGS, DmlBatchSpec, random_batch
+from repro.fuzz.oracle import Mismatch, Outcome, run_case
 from repro.fuzz.querygen import PredicateSpec, QuerySpec, random_query
 from repro.fuzz.runner import FuzzStats, fuzz
 from repro.fuzz.shrink import shrink_case
@@ -37,9 +42,14 @@ from repro.fuzz.worldgen import (
 
 __all__ = [
     "AttrSpec",
+    "Case",
+    "DML_CONFIGS",
+    "DmlBatchSpec",
+    "FaultSpec",
     "FuzzStats",
     "IndexSpec",
     "Mismatch",
+    "Outcome",
     "PredicateSpec",
     "QuerySpec",
     "TypeSpec",
@@ -47,9 +57,11 @@ __all__ = [
     "build_database",
     "case_from_json",
     "case_to_json",
+    "check",
     "corpus_files",
     "fuzz",
     "load_repro",
+    "random_batch",
     "random_query",
     "random_world",
     "run_case",

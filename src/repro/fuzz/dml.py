@@ -13,40 +13,52 @@ serial or exchange-parallel reads, restricted rule sets.  Any
 divergence means MVCC visibility, catalog data-versioning, or the plan
 cache disagreed about the same committed history.
 
-Shrinking reuses the plan fuzzer's delta-debugging: ops are dropped one
-at a time, then the world shrinks through the same candidate generator
-the read-only shrinker uses.  Minimal repros serialize into
-``tests/corpus/`` as ``repro-dml-*.json`` and replay forever from
-``tests/integration/test_corpus.py``.
+:func:`apply_batch` is the one op/transaction-group apply loop: the
+crash-recovery oracle (:mod:`repro.fuzz.crash`) drives its workloads
+through it too.  Failing batches shrink through
+:func:`repro.fuzz.shrink.shrink_case` (ops dropped one at a time, then
+the world) and serialize into ``tests/corpus/`` as
+``repro-dml-*.json``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
-from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Callable
+from dataclasses import dataclass
 
 from repro.api import Database
 from repro.errors import ReproError
-from repro.fuzz.querygen import QuerySpec
-from repro.fuzz.shrink import _world_candidates
-from repro.fuzz.worldgen import WorldSpec, build_database, random_world
-
-#: Read-path configurations every batch is replayed under.
-DML_CONFIGS = (
-    "cache-off",
-    "parallel-2",
-    "no-index-collapse",
-    "no-hash-join",
-    "backend-vectorized",
-    "backend-compiled",
+from repro.fuzz.oracle import Outcome, first_divergence
+from repro.fuzz.worldgen import WorldSpec
+from repro.optimizer.config import (
+    COLLAPSE_TO_INDEX_SCAN,
+    HYBRID_HASH_JOIN,
+    MERGE_JOIN,
 )
 
+#: Configurations every batch is replayed under, each as the
+#: :func:`apply_batch` options it sets given the reference config.
+#: Backend configs run the post-statement reads *and* DML target
+#: selection on the named backend; the committed history must not care.
+DML_CONFIGS = {
+    "cache-off": lambda config: {"use_cache": False},
+    "parallel-2": lambda config: {"parallelism": 2},
+    "no-index-collapse": lambda config: {
+        "config": config.without(COLLAPSE_TO_INDEX_SCAN)
+    },
+    "no-hash-join": lambda config: {
+        "config": config.without(HYBRID_HASH_JOIN, MERGE_JOIN)
+    },
+    "backend-vectorized": lambda config: {
+        "config": config.with_backend("vectorized")
+    },
+    "backend-compiled": lambda config: {
+        "config": config.with_backend("compiled")
+    },
+}
+
 #: Ops per generated batch (before shrinking).
-DEFAULT_OPS_PER_BATCH = 8
+OPS_PER_BATCH = 8
 
 
 def _render_value(value) -> str:
@@ -160,33 +172,6 @@ class DmlBatchSpec:
         return cls(ops=tuple(DmlOpSpec.from_dict(o) for o in data["ops"]))
 
 
-@dataclass
-class DmlStats:
-    """Aggregated outcome of one DML fuzz run."""
-
-    iterations: int = 0
-    skipped: int = 0
-    pairs_run: int = 0
-    mismatches: list = field(default_factory=list)
-    repro_paths: list[Path] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when every configuration replayed every batch identically."""
-        return not self.mismatches
-
-
-@dataclass(frozen=True)
-class DmlMismatch:
-    """One transcript divergence between reference and a configuration."""
-
-    kind: str
-    detail: str
-
-    def __str__(self) -> str:
-        return f"[{self.kind}] {self.detail}"
-
-
 # ----------------------------------------------------------------------
 # Generation
 # ----------------------------------------------------------------------
@@ -207,7 +192,7 @@ def _scalar_value(rng: random.Random, attr) -> object:
 def random_batch(
     rng: random.Random,
     world: WorldSpec,
-    ops: int = DEFAULT_OPS_PER_BATCH,
+    ops: int = OPS_PER_BATCH,
 ) -> DmlBatchSpec:
     """Draw one seeded write batch against ``world``'s collections.
 
@@ -322,25 +307,46 @@ def _row_bytes(row: dict) -> str:
     return "|".join(parts)
 
 
-def replay(
+def apply_batch(
     db: Database,
     world: WorldSpec,
     batch: DmlBatchSpec,
+    stop_after: int | None = None,
+    transcript: list[str] | None = None,
     use_cache: bool = True,
     parallelism: int | None = None,
     config=None,
-) -> list[str]:
-    """Apply the batch, reading after every op; returns the transcript.
+) -> int:
+    """Apply the batch's ops; returns the number of acknowledged commits.
 
-    The transcript has one line per event: each statement's outcome
-    (affected count or typed error class), each post-statement ordered
-    read, and a final ordered scan of every touched collection.  Two
-    correct configurations must produce byte-identical transcripts.
+    Ops with a ``txn_group`` share one explicit transaction committed at
+    the group's last op; the rest auto-commit.  ``stop_after`` caps the
+    run at that many *commits* (the crash oracle's clean reference
+    executing a durable prefix) — the cap is checked before every op, so
+    a partially-built transaction group whose commit would exceed it is
+    simply abandoned and rolled back, exactly like the group a crash cut
+    short.
+
+    With a ``transcript`` list, one line per event is appended: each
+    statement's outcome (affected count or typed error class), an
+    ordered read of the touched collection after every commit, and a
+    final ordered scan of every touched collection.  Two correct
+    configurations must produce byte-identical transcripts.
+
+    :class:`~repro.governor.faults.SimulatedCrash` propagates to the
+    caller; the "dead" engine's open transactions are deliberately left
+    as-is (a killed process runs no rollback code).
     """
-    transcript: list[str] = []
+    acknowledged = 0
     open_txns: dict[int, object] = {}
 
+    def note(line: str) -> None:
+        if transcript is not None:
+            transcript.append(line)
+
     def read(collection: str, label: str) -> None:
+        if transcript is None:
+            return
         result = db.query(
             _read_query(world, collection),
             use_cache=use_cache,
@@ -351,6 +357,8 @@ def replay(
         transcript.append(f"{label} {collection}: {body}")
 
     for position, op in enumerate(batch.ops):
+        if stop_after is not None and acknowledged >= stop_after:
+            break
         txn = None
         if op.txn_group is not None:
             txn = open_txns.get(op.txn_group)
@@ -363,11 +371,11 @@ def replay(
                 config=config,
                 transaction=txn,
             )
-            transcript.append(
-                f"op{position} {op.kind}: affected={result.affected}"
-            )
+            if txn is None:
+                acknowledged += 1
+            note(f"op{position} {op.kind}: affected={result.affected}")
         except ReproError as exc:
-            transcript.append(f"op{position} {op.kind}: {type(exc).__name__}")
+            note(f"op{position} {op.kind}: {type(exc).__name__}")
         closes_group = op.txn_group is not None and not any(
             later.txn_group == op.txn_group
             for later in batch.ops[position + 1 :]
@@ -376,247 +384,47 @@ def replay(
             txn = open_txns.pop(op.txn_group)
             try:
                 csn = txn.commit()
-                transcript.append(f"op{position} commit: csn={csn}")
+                acknowledged += 1
+                note(f"op{position} commit: csn={csn}")
             except ReproError as exc:
-                transcript.append(
-                    f"op{position} commit: {type(exc).__name__}"
-                )
+                note(f"op{position} commit: {type(exc).__name__}")
         if op.txn_group is None or closes_group:
             read(op.collection, f"op{position} read")
     for txn in open_txns.values():
         txn.rollback()
     for collection in batch.collections():
         read(collection, "final")
-    return transcript
+    return acknowledged
 
 
-def run_dml_case(world: WorldSpec, batch: DmlBatchSpec) -> list[DmlMismatch]:
-    """Replay one batch under every configuration; returns divergences."""
-    if not batch.ops:
-        return []
-    reference_db = build_database(world)
-    reference = replay(reference_db, world, batch)
-    mismatches: list[DmlMismatch] = []
+def run_dml_case(case) -> Outcome:
+    """Replay one batch under every configuration; compare transcripts.
 
-    def compare(kind: str, transcript: list[str]) -> None:
-        if transcript == reference:
-            return
-        for line, (want, got) in enumerate(zip(reference, transcript)):
-            if want != got:
-                mismatches.append(
-                    DmlMismatch(
-                        kind,
-                        f"line {line}: expected {want!r} got {got!r}",
-                    )
-                )
-                return
-        mismatches.append(
-            DmlMismatch(
-                kind,
-                f"transcript length {len(reference)} vs {len(transcript)}",
-            )
-        )
-
-    for kind in DML_CONFIGS:
-        db = build_database(world)
-        if kind == "cache-off":
-            compare(kind, replay(db, world, batch, use_cache=False))
-        elif kind.startswith("parallel-"):
-            degree = int(kind.split("-")[1])
-            compare(kind, replay(db, world, batch, parallelism=degree))
-        elif kind == "no-index-collapse":
-            from repro.optimizer.config import COLLAPSE_TO_INDEX_SCAN
-
-            compare(
-                kind,
-                replay(
-                    db, world, batch,
-                    config=db.config.without(COLLAPSE_TO_INDEX_SCAN),
-                ),
-            )
-        elif kind == "no-hash-join":
-            from repro.optimizer.config import HYBRID_HASH_JOIN, MERGE_JOIN
-
-            compare(
-                kind,
-                replay(
-                    db, world, batch,
-                    config=db.config.without(HYBRID_HASH_JOIN, MERGE_JOIN),
-                ),
-            )
-        elif kind.startswith("backend-"):
-            # Post-statement reads and DML target selection both run on
-            # the named backend; the committed history must not care.
-            backend = kind.split("-", 1)[1]
-            compare(
-                kind,
-                replay(
-                    db, world, batch,
-                    config=db.config.with_backend(backend),
-                ),
-            )
-    return mismatches
-
-
-# ----------------------------------------------------------------------
-# Shrinking and corpus
-# ----------------------------------------------------------------------
-
-
-def shrink_dml_case(
-    world: WorldSpec,
-    batch: DmlBatchSpec,
-    fails: Callable[[WorldSpec, DmlBatchSpec], bool],
-    max_attempts: int = 150,
-) -> tuple[WorldSpec, DmlBatchSpec]:
-    """Smallest (world, batch) still failing: drop ops, shrink world.
-
-    World shrinking reuses the read-only shrinker's candidate generator
-    through a proxy query ranging over the batch's collections.
+    Every database is a fresh ``case.build()``, so the case's reference
+    flags (rewrites off, feedback on) hold on every side.
     """
-    attempts = 0
-
-    def still_fails(w: WorldSpec, b: DmlBatchSpec) -> bool:
-        nonlocal attempts
-        if attempts >= max_attempts or not b.ops:
-            return False
-        attempts += 1
-        try:
-            return fails(w, b)
-        except Exception:  # noqa: BLE001 — a crashing candidate is just
-            # a failed shrink step, not the bug being minimized
-            return False
-
-    progress = True
-    while progress and attempts < max_attempts:
-        progress = False
-        for i in range(len(batch.ops)):
-            candidate = DmlBatchSpec(
-                ops=batch.ops[:i] + batch.ops[i + 1 :]
-            )
-            if still_fails(world, candidate):
-                batch = candidate
-                progress = True
-                break
-        if progress:
-            continue
-        proxy = QuerySpec(
-            ranges=tuple(
-                (f"v{i}", coll)
-                for i, coll in enumerate(batch.collections())
-            )
+    reference: list[str] = []
+    apply_batch(case.build(), case.world, case.batch, transcript=reference)
+    outcome = Outcome(pairs_run=len(DML_CONFIGS))
+    for kind, options in DML_CONFIGS.items():
+        db = case.build()
+        transcript: list[str] = []
+        apply_batch(
+            db, case.world, case.batch, transcript=transcript,
+            **options(db.config),
         )
-        for candidate in _world_candidates(world, proxy):
-            if still_fails(candidate, batch):
-                world = candidate
-                progress = True
-                break
-    return world, batch
-
-
-def save_dml_repro(
-    directory: str | Path,
-    world: WorldSpec,
-    batch: DmlBatchSpec,
-    note: str = "",
-) -> Path:
-    """Write one DML repro (``repro-dml-*.json``); stable per content."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    document = {
-        "note": note,
-        "statements": [op.render() for op in batch.ops],
-        "world": world.to_dict(),
-        "dml": batch.to_dict(),
-    }
-    canonical = json.dumps(
-        {"world": document["world"], "dml": document["dml"]}, sort_keys=True
-    )
-    digest = hashlib.sha256(canonical.encode()).hexdigest()[:12]
-    path = directory / f"repro-dml-{digest}.json"
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_dml_repro(path: str | Path) -> tuple[WorldSpec, DmlBatchSpec]:
-    """Load one saved DML repro back into its (world, batch) pair."""
-    data = json.loads(Path(path).read_text())
-    return (
-        WorldSpec.from_dict(data["world"]),
-        DmlBatchSpec.from_dict(data["dml"]),
-    )
-
-
-# ----------------------------------------------------------------------
-# The loop
-# ----------------------------------------------------------------------
-
-
-def dml_fuzz(
-    seed: int = 0,
-    iterations: int = 50,
-    ops_per_batch: int = DEFAULT_OPS_PER_BATCH,
-    shrink: bool = True,
-    corpus_dir: str | Path | None = None,
-    log=None,
-) -> DmlStats:
-    """Run ``iterations`` DML-interleaved cases; returns aggregate stats.
-
-    Every case derives deterministically from ``seed`` and its index,
-    so any failure replays with the same arguments.
-    """
-    stats = DmlStats()
-    for i in range(iterations):
-        world_rng = random.Random(f"{seed}:dml-world:{i}")
-        world = random_world(world_rng)
-        batch_rng = random.Random(f"{seed}:dml-batch:{i}")
-        batch = random_batch(batch_rng, world, ops=ops_per_batch)
-        stats.iterations += 1
-        if not batch.ops:
-            stats.skipped += 1
-            continue
-        mismatches = run_dml_case(world, batch)
-        stats.pairs_run += len(DML_CONFIGS)
-        if mismatches:
-            stats.mismatches.extend(mismatches)
-            if log is not None:
-                for mismatch in mismatches:
-                    log(f"DML MISMATCH {mismatch}")
-            if shrink:
-                world, batch = shrink_dml_case(
-                    world,
-                    batch,
-                    lambda w, b: bool(run_dml_case(w, b)),
-                )
-                if log is not None:
-                    for op in batch.ops:
-                        log(f"shrunk op: {op.render()}")
-            if corpus_dir is not None:
-                note = "; ".join(str(m) for m in mismatches[:3])
-                path = save_dml_repro(corpus_dir, world, batch, note)
-                stats.repro_paths.append(path)
-                if log is not None:
-                    log(f"repro written: {path}")
-        elif log is not None and (i + 1) % 10 == 0:
-            log(
-                f"{i + 1}/{iterations} DML cases, "
-                f"{len(stats.mismatches)} mismatch(es)"
-            )
-    return stats
+        mismatch = first_divergence(kind, case.subject, reference, transcript)
+        if mismatch is not None:
+            outcome.mismatches.append(mismatch)
+    return outcome
 
 
 __all__ = [
-    "DEFAULT_OPS_PER_BATCH",
     "DML_CONFIGS",
+    "OPS_PER_BATCH",
     "DmlBatchSpec",
-    "DmlMismatch",
     "DmlOpSpec",
-    "DmlStats",
-    "dml_fuzz",
-    "load_dml_repro",
+    "apply_batch",
     "random_batch",
-    "replay",
     "run_dml_case",
-    "save_dml_repro",
-    "shrink_dml_case",
 ]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import traceback
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.api import Database
 from repro.engine.tuples import Row, row_key
@@ -47,24 +47,50 @@ PARALLEL_DEGREES = (2, 3)
 
 @dataclass(frozen=True)
 class Mismatch:
-    """One divergence between the reference and a variant configuration."""
+    """One divergence a fuzz check found, in any mode.
 
-    kind: str  # e.g. "greedy", "parallel-2", "cache-hit", "no-hash-join"
-    query: str
+    ``kind`` names the configuration or check that diverged (e.g.
+    ``"greedy"``, ``"parallel-2"``, ``"chaos-wrong-answer"``,
+    ``"backend-compiled"``, ``"state"``); ``subject`` is the query text
+    or a short description of the write batch.
+    """
+
+    kind: str
+    subject: str
     detail: str
 
     def __str__(self) -> str:
-        return f"[{self.kind}] {self.query}\n  {self.detail}"
+        return f"[{self.kind}] {self.subject}\n  {self.detail}"
 
 
 @dataclass
-class CaseResult:
-    """What happened to one fuzz case."""
+class Outcome:
+    """What one fuzz check found: divergences, comparisons, tallies.
 
-    query: str
-    mismatches: list[Mismatch]
-    skipped: bool = False  # reference itself rejected the query
+    ``tallies`` counts mode-specific events (``skipped``, ``matched``,
+    ``typed_failures``, ``degraded``, ``crashed``, ...).
+    """
+
+    mismatches: list[Mismatch] = field(default_factory=list)
     pairs_run: int = 0
+    tallies: Counter = field(default_factory=Counter)
+
+
+def first_divergence(
+    kind: str, subject: str, want: list[str], got: list[str]
+) -> Mismatch | None:
+    """The first line where two transcripts differ, as a mismatch."""
+    for line, (expected, actual) in enumerate(zip(want, got)):
+        if expected != actual:
+            return Mismatch(
+                kind, subject,
+                f"line {line}: expected {expected!r} got {actual!r}",
+            )
+    if len(want) != len(got):
+        return Mismatch(
+            kind, subject, f"transcript length {len(want)} vs {len(got)}"
+        )
+    return None
 
 
 def _bag(rows: list[Row]) -> Counter:
@@ -103,20 +129,16 @@ def _total_order(spec: QuerySpec) -> bool:
     return len(spec.ranges) == 1 and not spec.subqueries and not spec.distinct
 
 
-def run_case(
-    db: Database,
-    spec: QuerySpec,
-    degrees: tuple[int, ...] = PARALLEL_DEGREES,
-) -> CaseResult:
+def run_case(db: Database, spec: QuerySpec) -> Outcome:
     """Run one query through every configuration pair on ``db``."""
     text = spec.render()
-    result = CaseResult(query=text, mismatches=[])
+    result = Outcome()
     try:
         reference = db.query(text, use_cache=False)
     except ReproError:
         # The generator produced a query the stack legitimately rejects
         # (unsupported shape, unknown path, ...): nothing to compare.
-        result.skipped = True
+        result.tallies["skipped"] += 1
         return result
     except Exception:  # noqa: BLE001 - any crash IS the finding here
         result.mismatches.append(
@@ -198,7 +220,7 @@ def run_case(
     attempt("greedy", lambda: baseline(db.greedy_plan))
 
     # --- serial vs. parallel ------------------------------------------
-    for degree in degrees:
+    for degree in PARALLEL_DEGREES:
         attempt(
             f"parallel-{degree}",
             lambda degree=degree: db.query(
@@ -317,4 +339,10 @@ def _parameterized(spec: QuerySpec) -> tuple[str, str, object] | None:
     return None
 
 
-__all__ = ["CaseResult", "Mismatch", "PARALLEL_DEGREES", "run_case"]
+__all__ = [
+    "Mismatch",
+    "Outcome",
+    "PARALLEL_DEGREES",
+    "first_divergence",
+    "run_case",
+]

@@ -1,67 +1,81 @@
-"""Greedy delta-debugging: minimize a failing (world, query) case.
+"""Greedy delta-debugging: minimize a failing fuzz case.
 
-The shrinker repeatedly proposes structurally smaller candidates —
-fewer predicates/clauses, fewer indexes, fewer types, smaller
-populations — and keeps any candidate that still fails the oracle,
-iterating to a fixpoint.  Because specs are plain data, every candidate
-is just a ``dataclasses.replace`` away, and the final minimal case
-serializes straight into ``tests/corpus/``.
+One attempt-bounded loop serves every mode.  It repeatedly proposes
+structurally smaller candidates — fewer predicates/clauses (queries),
+fewer statements (write batches), then fewer indexes, fewer types and
+smaller populations (worlds) — and keeps any candidate that still
+fails, iterating to a fixpoint.  Fault plans, crash plans and reference
+flags ride along unchanged.  Because cases are plain data, every
+candidate is just a ``dataclasses.replace`` away, and the final minimal
+case serializes straight into ``tests/corpus/``.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable
+from typing import Callable, Iterator
 
+from repro.fuzz.case import Case
+from repro.fuzz.dml import DmlBatchSpec
 from repro.fuzz.querygen import QuerySpec
 from repro.fuzz.worldgen import TypeSpec, WorldSpec
-
-Case = tuple[WorldSpec, QuerySpec]
 
 #: Candidate population sizes tried (in order) when shrinking a type.
 _COUNT_LADDER = (1, 2, 3, 5, 10, 20)
 
+#: Candidate checks one shrink may spend (each builds fresh databases).
+MAX_ATTEMPTS = 250
 
-def shrink_case(
-    world: WorldSpec,
-    query: QuerySpec,
-    fails: Callable[[WorldSpec, QuerySpec], bool],
-    max_attempts: int = 250,
-) -> Case:
-    """Return the smallest (world, query) for which ``fails`` still holds.
+
+def shrink_case(case: Case, fails: Callable[[Case], bool]) -> Case:
+    """Return the smallest case for which ``fails`` still holds.
 
     ``fails`` must be True for the input case; the shrinker only ever
     moves between failing cases, so the result is always a valid repro.
     """
     attempts = 0
-
-    def still_fails(w: WorldSpec, q: QuerySpec) -> bool:
-        nonlocal attempts
-        if attempts >= max_attempts:
-            return False
-        attempts += 1
-        try:
-            return fails(w, q)
-        except Exception:  # noqa: BLE001 - a crashing candidate is just
-            # a failed shrink step, not the bug being minimized
-            return False
-
     progress = True
-    while progress and attempts < max_attempts:
+    while progress and attempts < MAX_ATTEMPTS:
         progress = False
-        for candidate in _query_candidates(query):
-            if still_fails(world, candidate):
-                query = candidate
+        for candidate in _candidates(case):
+            if attempts >= MAX_ATTEMPTS:
+                break
+            attempts += 1
+            try:
+                still_fails = fails(candidate)
+            except Exception:  # noqa: BLE001 - a crashing candidate is
+                # just a failed shrink step, not the bug being minimized
+                still_fails = False
+            if still_fails:
+                case = candidate
                 progress = True
                 break
-        if progress:
-            continue
-        for candidate in _world_candidates(world, query):
-            if still_fails(candidate, query):
-                world = candidate
-                progress = True
-                break
-    return world, query
+    return case
+
+
+def _candidates(case: Case) -> Iterator[Case]:
+    """Smaller workloads first, then smaller worlds."""
+    if case.query is not None:
+        for query in _query_candidates(case.query):
+            yield replace(case, query=query)
+        proxy = case.query
+    else:
+        ops = case.batch.ops
+        if len(ops) > 1:  # an empty batch checks nothing
+            for i in range(len(ops)):
+                yield replace(
+                    case, batch=DmlBatchSpec(ops=ops[:i] + ops[i + 1 :])
+                )
+        # World shrinking needs the collections the batch touches: a
+        # proxy query ranging over each keeps them (and their types).
+        proxy = QuerySpec(
+            ranges=tuple(
+                (f"v{i}", coll)
+                for i, coll in enumerate(case.batch.collections())
+            )
+        )
+    for world in _world_candidates(case.world, proxy):
+        yield replace(case, world=world)
 
 
 def _query_candidates(query: QuerySpec):
@@ -154,4 +168,4 @@ def _needed_types(world: WorldSpec, query: QuerySpec) -> set[str]:
     return roots
 
 
-__all__ = ["Case", "shrink_case"]
+__all__ = ["MAX_ATTEMPTS", "shrink_case"]

@@ -377,11 +377,11 @@ class TestWalFraming:
 
 class TestCrashOracleSmoke:
     def test_seeded_cases_have_no_divergences(self):
-        from repro.fuzz.crash import crash_fuzz
+        from repro.fuzz import fuzz
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            stats = crash_fuzz(seed=11, iterations=6, shrink=False)
+            stats = fuzz(seed=11, iterations=6, mode="crash", shrink=False)
         assert stats.ok
         assert stats.iterations == 6
 

@@ -261,3 +261,68 @@ class TestExplainProvenance:
         assert any(
             node.est_source == "feedback" for node in report.root.walk()
         )
+
+
+def pointer_chase_world() -> WorldSpec:
+    """A world where the adaptive replan switches to an index.
+
+    ``h.k == 0`` has no index, so it gets the 10% default estimate while
+    95% of ``Hot`` matches.  The first plan chases ``h.d`` pointers for
+    the few rows it expects; once the overrun triggers a replan, the
+    value join through ``ix_dim_s1`` wins.
+    """
+    return WorldSpec(
+        types=(
+            TypeSpec(
+                name="Dim",
+                count=600,
+                attrs=(AttrSpec(name="s1", distinct=20),),
+                object_size=1000,
+            ),
+            TypeSpec(
+                name="Hot",
+                count=500,
+                attrs=(
+                    AttrSpec(name="k", distinct=1000, skew=0.95),
+                    AttrSpec(name="j", distinct=40),
+                    AttrSpec(name="d", kind="ref", target="Dim"),
+                ),
+            ),
+        ),
+        indexes=(IndexSpec("ix_dim_s1", "extent(Dim)", ("s1",)),),
+        data_seed=7,
+    )
+
+
+POINTER_CHASE_QUERY = (
+    "SELECT h.j FROM Hot h IN extent(Hot) WHERE h.k == 0 && h.d.s1 == 1"
+)
+
+
+class TestReplanDegradeLadder:
+    def test_corrupt_index_in_replanned_plan_degrades_to_scan(self):
+        """The replan's re-run goes through the same degrade-to-scan step.
+
+        Pre-fix, the replan re-executed inside the ``except
+        AdaptiveReplanSignal`` handler, so its ``IndexCorruptionError``
+        skipped the sibling handler and escaped untyped.
+        """
+        from repro.governor.context import QueryContext
+        from repro.governor.faults import FaultPlan
+
+        reference = build_database(pointer_chase_world())
+        expected = rows_key(
+            reference.query(POINTER_CHASE_QUERY, use_cache=False).rows
+        )
+
+        db = build_database(pointer_chase_world())
+        db.config = db.config.with_feedback(True)
+        # Only the replanned plan reads an index, so corrupting every
+        # index hits exactly the replan's re-run.
+        assert "Index Scan" not in db.optimize(POINTER_CHASE_QUERY).plan.pretty()
+        ctx = QueryContext(fault_plan=FaultPlan(seed=1, corrupt_index_prob=1.0))
+        result = db.query(POINTER_CHASE_QUERY, use_cache=False, governor=ctx)
+        assert db.feedback.stats.replans == 1
+        assert rows_key(result.rows) == expected
+        assert ctx.degraded == ["cardinality_misestimate", "index_corruption"]
+        assert "Index Scan" not in result.plan.pretty()

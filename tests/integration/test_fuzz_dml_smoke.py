@@ -9,11 +9,11 @@ CSNs, and totally-ordered reads after every commit.  Fixed seeds keep
 tier-1 deterministic; the nightly soak covers fresh seeds at scale.
 """
 
-from repro.fuzz.dml import DML_CONFIGS, dml_fuzz
+from repro.fuzz import DML_CONFIGS, fuzz
 
 
 def test_dml_fuzz_smoke_seed_11():
-    stats = dml_fuzz(seed=11, iterations=8, shrink=False)
+    stats = fuzz(seed=11, iterations=8, mode="dml", shrink=False)
     assert stats.iterations == 8
     # Every non-skipped case replayed under every configuration.
     assert stats.pairs_run >= (stats.iterations - stats.skipped) * len(
@@ -23,5 +23,5 @@ def test_dml_fuzz_smoke_seed_11():
 
 
 def test_dml_fuzz_smoke_seed_42():
-    stats = dml_fuzz(seed=42, iterations=6, shrink=False)
+    stats = fuzz(seed=42, iterations=6, mode="dml", shrink=False)
     assert stats.ok, "\n".join(str(m) for m in stats.mismatches)

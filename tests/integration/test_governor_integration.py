@@ -230,17 +230,18 @@ class TestScopeUnwinding:
 
 class TestChaosSweep:
     def test_200_rounds_at_5_percent_fault_rate(self):
-        from repro.fuzz.chaos import chaos_fuzz
+        from repro.fuzz import fuzz
 
-        stats = chaos_fuzz(seed=20260806, iterations=200, fault_rate=0.05)
+        stats = fuzz(seed=20260806, iterations=200, mode="chaos")
         assert stats.iterations == 200
         assert stats.ok, "\n".join(str(m) for m in stats.mismatches)
         # Every non-skipped case either matched the oracle or failed typed.
+        matched = stats.tallies["matched"]
         assert (
-            stats.matched + stats.typed_failures + stats.skipped
+            matched + stats.tallies["typed_failures"] + stats.skipped
             == stats.iterations
         )
-        assert stats.matched > 0
+        assert matched > 0
 
     def test_no_exchange_threads_leak_under_parallel_faults(self, fresh_db):
         before = {
